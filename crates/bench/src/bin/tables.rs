@@ -27,6 +27,22 @@ struct Opts {
     selected: Vec<String>,
 }
 
+/// Every id a positional argument may name (`f4` is an alias of `p1`).
+const TABLE_IDS: &[&str] = &[
+    "all", "t1", "f2", "f3", "p1", "f4", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9",
+    "e10", "e11", "e12", "e13", "e14", "a1", "a2",
+];
+
+/// Print `msg` and exit 2 (usage error).
+fn usage_error(msg: &str) -> ! {
+    eprintln!("tables: {msg}");
+    eprintln!(
+        "usage: tables [--quick] [--json DIR] [ID ...]   ids: {}",
+        TABLE_IDS.join(" ")
+    );
+    std::process::exit(2);
+}
+
 fn parse_args() -> Opts {
     let mut opts = Opts {
         quick: false,
@@ -37,12 +53,18 @@ fn parse_args() -> Opts {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => opts.quick = true,
-            "--json" => {
-                opts.json_dir = Some(PathBuf::from(
-                    args.next().expect("--json requires a directory"),
-                ))
+            "--json" => match args.next() {
+                Some(dir) => opts.json_dir = Some(PathBuf::from(dir)),
+                None => usage_error("--json requires a directory"),
+            },
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag {flag}")),
+            id => {
+                let id = id.to_lowercase();
+                if !TABLE_IDS.contains(&id.as_str()) {
+                    usage_error(&format!("unknown table id {id}"));
+                }
+                opts.selected.push(id);
             }
-            other => opts.selected.push(other.to_lowercase()),
         }
     }
     opts

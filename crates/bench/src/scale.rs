@@ -41,12 +41,6 @@ pub struct ScaleBenchConfig {
     /// Run every sweep point with the hot-path span profiler on and
     /// record the per-stage attribution in the result.
     pub profile: bool,
-    /// Event schedulers to sweep (`"wheel"` and/or `"heap"`). The default
-    /// runs both so one document carries the differential evidence: every
-    /// row's digest must match, which proves the timing wheel reproduces
-    /// the heap's event order byte-for-byte while the `events_per_sec`
-    /// columns show what the wheel buys.
-    pub schedulers: Vec<String>,
     /// Fleet sizes for the per-flow memory ladder, run before anything
     /// else in ascending order (see the module docs on `VmHWM`
     /// monotonicity). Empty = no memory cells.
@@ -64,7 +58,6 @@ impl ScaleBenchConfig {
             shard_counts: vec![1, 2, 4],
             seed: 1,
             profile: true,
-            schedulers: vec!["wheel".to_string(), "heap".to_string()],
             memory_sensors: vec![10_000, 100_000],
         }
     }
@@ -77,16 +70,8 @@ impl ScaleBenchConfig {
             shard_counts: vec![1, 2, 4],
             seed: 1,
             profile: false,
-            schedulers: vec!["wheel".to_string(), "heap".to_string()],
             memory_sensors: vec![256, 1024],
         }
-    }
-
-    /// Restrict the sweep to one scheduler (the `--scheduler` CLI flag).
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: &str) -> ScaleBenchConfig {
-        self.schedulers = vec![scheduler.to_string()];
-        self
     }
 
     /// With the span profiler on.
@@ -133,8 +118,6 @@ pub struct MemoryCell {
 /// One sweep point: the fleet at a given shard count.
 #[derive(Debug, Clone)]
 pub struct ScaleRow {
-    /// Event scheduler this row ran under (`"wheel"` or `"heap"`).
-    pub scheduler: String,
     /// Shards used.
     pub shards: usize,
     /// Wall-clock nanoseconds for the whole fleet.
@@ -176,22 +159,11 @@ pub struct ScaleBenchResult {
     /// unless `config.profile`); identical across shard counts, which the
     /// run asserts via the merged digests.
     pub profile: SpanProfiler,
-    /// Peak RSS (kB) right after the sketch-mode sweep.
-    pub peak_rss_sketch_kb: u64,
-    /// Peak RSS (kB) after one additional serial run that retains exact
-    /// latency-sample vectors (the representation the sketch replaced).
-    pub peak_rss_exact_kb: u64,
-    /// `peak_rss_exact_kb − peak_rss_sketch_kb`: the high-water-mark
-    /// growth attributable to cached full-sample vectors. An honesty
-    /// field — `VmHWM` is monotone, so small fleets can legitimately
-    /// report 0 when the exact run fits under the sweep's peak.
-    pub rss_delta_kb: u64,
 }
 
 impl ScaleBenchResult {
-    /// Whether every row produced the same merged digest. With both
-    /// schedulers in the sweep this is also the wheel-vs-heap equivalence
-    /// gate: a wheel that reorders even one event tie fails here.
+    /// Whether every row produced the same merged digest: the shard
+    /// count may change wall time, never the outcome.
     pub fn deterministic(&self) -> bool {
         self.rows.windows(2).all(|w| w[0].digest == w[1].digest)
     }
@@ -224,7 +196,6 @@ impl ScaleBenchResult {
         };
         let rows = self.rows.iter().map(|r| {
             JsonObject::new()
-                .str("scheduler", &r.scheduler)
                 .u64("shards", r.shards as u64)
                 .u64("wall_ns", r.wall_ns)
                 .u64("packets", r.packets)
@@ -256,9 +227,6 @@ impl ScaleBenchResult {
             .f64("best_speedup", self.best_speedup())
             .u64("peak_rss_kb", self.peak_rss_kb)
             .u64("host_cores", self.host_cores as u64)
-            .u64("peak_rss_sketch_kb", self.peak_rss_sketch_kb)
-            .u64("peak_rss_exact_kb", self.peak_rss_exact_kb)
-            .u64("rss_delta_kb", self.rss_delta_kb)
             .raw("memory", &json::array(memory))
             .raw("rows", &json::array(rows))
             .raw("profile", &profile)
@@ -285,7 +253,7 @@ pub fn peak_rss_kb() -> u64 {
 /// groups); only the thread layout differs, which is why the digests must
 /// match and wall time may not.
 pub fn run(cfg: &ScaleBenchConfig) -> ScaleBenchResult {
-    let mut rows = Vec::with_capacity(cfg.shard_counts.len() * cfg.schedulers.len());
+    let mut rows = Vec::with_capacity(cfg.shard_counts.len());
     // The memory ladder runs before anything else touches the heap in
     // anger: VmHWM is monotone, so each ascending cell's snapshot is the
     // true high-water mark of "process baseline + a K-flow fleet" and the
@@ -319,63 +287,38 @@ pub fn run(cfg: &ScaleBenchConfig) -> ScaleBenchResult {
         let _ = manyflow::run(&warm);
     }
     let mut profile = SpanProfiler::new();
-    let mut profiled = false;
-    for scheduler in &cfg.schedulers {
-        // Speedup is meaningful only within one scheduler, so each
-        // scheduler's serial row restarts the baseline.
-        let mut baseline_wall_ns = 0u64;
-        for &shards in &cfg.shard_counts {
-            let mut fleet = ManyFlowConfig::fleet(cfg.sensors, shards, cfg.seed);
-            fleet.packets_per_sensor = cfg.packets_per_sensor;
-            fleet.profile = cfg.profile;
-            fleet.heap_scheduler = scheduler == "heap";
-            let start = Instant::now();
-            let report = manyflow::run(&fleet);
-            let wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            if baseline_wall_ns == 0 {
-                baseline_wall_ns = wall_ns.max(1);
-                if !profiled {
-                    profile = report.shard.profile.clone();
-                    profiled = true;
-                }
-            }
-            let secs = (wall_ns.max(1)) as f64 / 1e9;
-            rows.push(ScaleRow {
-                scheduler: scheduler.clone(),
-                shards,
-                wall_ns,
-                packets: report.shard.packets,
-                events: report.shard.events,
-                packets_per_sec: report.shard.packets as f64 / secs,
-                events_per_sec: report.shard.events as f64 / secs,
-                speedup: baseline_wall_ns as f64 / wall_ns.max(1) as f64,
-                digest: report.shard.trace_digest,
-                shard_utilization: report.shard.shard_utilization(),
-            });
+    let mut baseline_wall_ns = 0u64;
+    for &shards in &cfg.shard_counts {
+        let mut fleet = ManyFlowConfig::fleet(cfg.sensors, shards, cfg.seed);
+        fleet.packets_per_sensor = cfg.packets_per_sensor;
+        fleet.profile = cfg.profile;
+        let start = Instant::now();
+        let report = manyflow::run(&fleet);
+        let wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        if baseline_wall_ns == 0 {
+            baseline_wall_ns = wall_ns.max(1);
+            profile = report.shard.profile.clone();
         }
+        let secs = (wall_ns.max(1)) as f64 / 1e9;
+        rows.push(ScaleRow {
+            shards,
+            wall_ns,
+            packets: report.shard.packets,
+            events: report.shard.events,
+            packets_per_sec: report.shard.packets as f64 / secs,
+            events_per_sec: report.shard.events as f64 / secs,
+            speedup: baseline_wall_ns as f64 / wall_ns.max(1) as f64,
+            digest: report.shard.trace_digest,
+            shard_utilization: report.shard.shard_utilization(),
+        });
     }
-    // The RSS honesty pair: snapshot the high-water mark after the
-    // sketch-mode sweep, then run the serial fleet once more with exact
-    // latency samples retained (the representation the sketch replaced)
-    // and snapshot again. VmHWM is monotone, so ordering matters: the
-    // sketch figure must be taken first or the exact run would pollute it.
-    let peak_rss_sketch_kb = peak_rss_kb();
-    {
-        let mut exact = ManyFlowConfig::fleet(cfg.sensors, 1, cfg.seed).with_exact_latency();
-        exact.packets_per_sensor = cfg.packets_per_sensor;
-        let _ = manyflow::run(&exact);
-    }
-    let peak_rss_exact_kb = peak_rss_kb();
     ScaleBenchResult {
         config: cfg.clone(),
         rows,
         memory,
-        peak_rss_kb: peak_rss_exact_kb.max(peak_rss_sketch_kb),
+        peak_rss_kb: peak_rss_kb(),
         host_cores: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         profile,
-        peak_rss_sketch_kb,
-        peak_rss_exact_kb,
-        rss_delta_kb: peak_rss_exact_kb.saturating_sub(peak_rss_sketch_kb),
     }
 }
 
@@ -473,28 +416,11 @@ mod tests {
     #[test]
     fn quick_sweep_is_deterministic_and_well_formed() {
         let result = run(&ScaleBenchConfig::quick());
-        assert_eq!(result.rows.len(), 6, "2 schedulers x 3 shard counts");
-        assert!(
-            result.deterministic(),
-            "digests diverged across shards/schedulers"
-        );
+        assert_eq!(result.rows.len(), 3, "one row per shard count");
+        assert!(result.deterministic(), "digests diverged across shards");
         assert!(result.rows.iter().all(|r| r.packets == 256 * 4));
         assert!(result.rows.iter().all(|r| r.packets_per_sec > 0.0));
-        assert_eq!(
-            result
-                .rows
-                .iter()
-                .filter(|r| r.scheduler == "wheel")
-                .count(),
-            3
-        );
-        assert_eq!(
-            result.rows.iter().filter(|r| r.scheduler == "heap").count(),
-            3
-        );
         let json = result.to_json();
-        assert!(json.contains("\"scheduler\":\"wheel\""));
-        assert!(json.contains("\"scheduler\":\"heap\""));
         assert!(json.contains("\"bench\":\"scale\""));
         assert!(json.contains("\"deterministic\":true"));
         assert!(json.contains("\"rows\":["));
@@ -502,7 +428,6 @@ mod tests {
         // array of all-zero rows masquerading as a measurement.
         assert!(json.contains("\"profile\":null"));
         assert!(!json.contains("\"profile\":["));
-        assert!(json.contains("\"rss_delta_kb\":"));
         assert_eq!(result.profile.total_events(), 0);
     }
 
@@ -542,7 +467,7 @@ mod tests {
 
     #[test]
     fn memory_cells_report_per_flow_figures() {
-        let mut cfg = ScaleBenchConfig::quick().with_scheduler("wheel");
+        let mut cfg = ScaleBenchConfig::quick();
         cfg.shard_counts = vec![1];
         cfg.memory_sensors = vec![1024, 256]; // run() must sort ascending
         let result = run(&cfg);

@@ -15,12 +15,12 @@
 //!    sender (§5.1), realizing hop-by-hop flow control without TCP-style
 //!    congestion control (the §5.3 hypothesis exercised by experiment E7).
 
-use crate::machine::{self, Input, Machine, Output};
+use crate::machine::{Input, Machine, Output};
 use mmt_dataplane::action::Intrinsics;
 use mmt_dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
 use mmt_dataplane::pipeline::Pipeline;
 use mmt_dataplane::programs::{self, BorderConfig};
-use mmt_netsim::{Context, Node, Packet, PacketMeta, PortId, Time, TimerToken};
+use mmt_netsim::{Packet, PacketMeta, PortId, Time, TimerToken};
 use mmt_wire::mmt::{BackpressureRepr, ControlRepr, ExperimentId, MmtRepr, ModeChangeRepr};
 use mmt_wire::{EthernetAddress, Ipv4Address};
 use std::collections::{BTreeMap, VecDeque};
@@ -511,54 +511,11 @@ impl Machine for RetransmitBuffer {
     }
 }
 
-impl Node for RetransmitBuffer {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        machine::step(self, ctx, Input::Start);
-    }
-
-    fn on_packet(&mut self, ctx: &mut Context<'_>, port: PortId, pkt: Packet) {
-        machine::step(self, ctx, Input::Frame { port, pkt });
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
-        machine::step(self, ctx, Input::Timer { token });
-    }
-
-    fn on_crash(&mut self) {
-        Machine::crash(self);
-    }
-
-    fn on_restart(&mut self, ctx: &mut Context<'_>) {
-        machine::step(self, ctx, Input::Restart);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmt_netsim::{Bandwidth, LinkSpec, Simulator};
+    use mmt_netsim::{Bandwidth, LinkSpec, Simulator, Sink};
     use mmt_wire::mmt::{Features, NakRange, NakRepr};
-
-    struct Sink;
-    impl Node for Sink {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-            ctx.deliver_local(pkt);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
 
     fn exp() -> ExperimentId {
         ExperimentId::new(2, 0)

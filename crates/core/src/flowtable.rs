@@ -241,6 +241,19 @@ impl FlowTable {
         t
     }
 
+    /// A one-row table for a single-stream owner (the pilot), with that
+    /// row's id. A fresh table's first allocation is index 0,
+    /// generation 0 and cannot fail, so no `Option` reaches the caller.
+    // mmt-lint: cold
+    pub fn single() -> (FlowTable, FlowId) {
+        let mut t = FlowTable::with_capacity(1);
+        let id = t.alloc().unwrap_or(FlowId {
+            index: 0,
+            generation: 0,
+        });
+        (t, id)
+    }
+
     /// A table whose first fresh index is `base` — the boundary-test
     /// knob: with `base` near `u32::MAX` the index space exhausts after
     /// a few allocations, which is otherwise unreachable in a test.
@@ -465,6 +478,16 @@ impl FlowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn single_is_one_live_allocated_row() {
+        let (t, id) = FlowTable::single();
+        assert!(t.contains(id));
+        assert_eq!((id.index(), id.generation()), (0, 0));
+        assert_eq!(t.live(), 1);
+        assert_eq!(t.stats().fresh, 1);
+        assert_eq!(t.retx_slot(id), Some(NO_RETX_SLOT));
+    }
 
     #[test]
     fn alloc_release_reuse_bumps_generation() {

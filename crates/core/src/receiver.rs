@@ -6,10 +6,10 @@
 //! gap never blocks later messages (the head-of-line contrast with TCP in
 //! §4.1).
 
-use crate::machine::{self, Input, Machine, Output};
+use crate::machine::{Input, Machine, Output};
 use crate::seqtrack::SeqTracker;
 use mmt_dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
-use mmt_netsim::{Context, Node, Packet, PortId, Time, TimerToken};
+use mmt_netsim::{Packet, Time, TimerToken};
 use mmt_wire::mmt::{ControlRepr, ExperimentId, MmtRepr, NakRange, NakRepr};
 use mmt_wire::{EthernetAddress, Ipv4Address};
 use std::collections::BTreeMap;
@@ -531,41 +531,10 @@ impl Machine for MmtReceiver {
     }
 }
 
-impl Node for MmtReceiver {
-    fn on_packet(&mut self, ctx: &mut Context<'_>, port: PortId, pkt: Packet) {
-        machine::step(self, ctx, Input::Frame { port, pkt });
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
-        machine::step(self, ctx, Input::Timer { token });
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator};
-
-    struct Sink;
-    impl Node for Sink {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-            ctx.deliver_local(pkt);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
+    use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator, Sink};
 
     fn exp() -> ExperimentId {
         ExperimentId::new(2, 0)

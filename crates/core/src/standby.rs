@@ -12,9 +12,9 @@
 //! receiver where recovery now lives. Sequences it cannot serve continue
 //! upstream — the primary, if alive, still gets a chance.
 
-use crate::machine::{self, Input, Machine, Output};
+use crate::machine::{Input, Machine, Output};
 use mmt_dataplane::parser::ParsedPacket;
-use mmt_netsim::{Context, Node, Packet, PortId, Time};
+use mmt_netsim::{Packet, PortId, Time};
 use mmt_wire::mmt::{ControlRepr, ModeChangeRepr};
 use mmt_wire::Ipv4Address;
 use std::collections::{BTreeMap, VecDeque};
@@ -342,44 +342,13 @@ impl Machine for StandbyBuffer {
     }
 }
 
-impl Node for StandbyBuffer {
-    fn on_packet(&mut self, ctx: &mut Context<'_>, port: PortId, pkt: Packet) {
-        machine::step(self, ctx, Input::Frame { port, pkt });
-    }
-
-    fn on_crash(&mut self) {
-        Machine::crash(self);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmt_dataplane::parser::build_eth_mmt_frame;
-    use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator};
+    use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator, Sink};
     use mmt_wire::mmt::{ExperimentId, Features, MmtRepr, NakRange, NakRepr};
     use mmt_wire::EthernetAddress;
-
-    struct Sink;
-    impl Node for Sink {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-            ctx.deliver_local(pkt);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
 
     fn exp() -> ExperimentId {
         ExperimentId::new(2, 0)

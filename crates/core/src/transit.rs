@@ -14,9 +14,9 @@
 //! from downstream are served locally; sequences it no longer holds are
 //! re-NAKed upstream toward the previous buffer.
 
-use crate::machine::{self, Input, Machine, Output};
+use crate::machine::{Input, Machine, Output};
 use mmt_dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
-use mmt_netsim::{Context, Node, Packet, PortId, Time};
+use mmt_netsim::{Packet, PortId, Time};
 use mmt_wire::mmt::{ControlRepr, CoreHeader, MmtRepr, NakRange, NakRepr, RetransmitExt};
 use mmt_wire::{EthernetAddress, Ipv4Address};
 use std::collections::{BTreeMap, VecDeque};
@@ -224,38 +224,11 @@ impl Machine for TransitBuffer {
     }
 }
 
-impl Node for TransitBuffer {
-    fn on_packet(&mut self, ctx: &mut Context<'_>, port: PortId, pkt: Packet) {
-        machine::step(self, ctx, Input::Frame { port, pkt });
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator, Time};
+    use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Simulator, Sink, Time};
     use mmt_wire::mmt::ExperimentId;
-
-    struct Sink;
-    impl Node for Sink {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-            ctx.deliver_local(pkt);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
 
     fn exp() -> ExperimentId {
         ExperimentId::new(2, 0)

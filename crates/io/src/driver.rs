@@ -12,25 +12,22 @@
 //! routing decision is unit-testable without a socket. The poll loop in
 //! [`crate::pilot`] is the only place that touches the kernel.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use mmt_core::buffer::{PORT_DAQ, PORT_WAN};
 use mmt_core::machine::{Input, Machine, Output};
 use mmt_core::{MmtReceiver, MmtSender, RetransmitBuffer};
-use mmt_netsim::{Packet, PacketMeta, Time, TimerToken};
+use mmt_netsim::{Packet, PacketMeta, Time, TimerToken, TimerWheel};
 
 /// Machine slots inside an assembly.
 const MACH_SENDER: u8 = 0;
 const MACH_BUFFER: u8 = 1;
 const MACH_RECEIVER: u8 = 2;
 
-/// Deadline-ordered pending wakeups for one endpoint. Ties break by
-/// insertion order so replayed schedules stay deterministic.
-#[derive(Debug, Default)]
+/// Deadline-ordered pending wakeups for one endpoint, on the simulator's
+/// own [`TimerWheel`]. Ties break by insertion order so replayed
+/// schedules stay deterministic.
+#[derive(Default)]
 pub struct TimerQueue {
-    heap: BinaryHeap<Reverse<(u64, u64, u8, TimerToken)>>,
-    seq: u64,
+    wheel: TimerWheel<(u8, TimerToken)>,
 }
 
 impl TimerQueue {
@@ -41,37 +38,30 @@ impl TimerQueue {
 
     /// Schedule `(mach, token)` to fire at `at`.
     pub fn push(&mut self, at: Time, mach: u8, token: TimerToken) {
-        self.seq += 1;
-        self.heap
-            .push(Reverse((at.as_nanos(), self.seq, mach, token)));
+        self.wheel.schedule(at.as_nanos(), (mach, token));
     }
 
     /// The earliest pending deadline, if any.
-    pub fn next_due(&self) -> Option<Time> {
-        self.heap
-            .peek()
-            .map(|Reverse((at, _, _, _))| Time::from_nanos(*at))
+    pub fn next_due(&mut self) -> Option<Time> {
+        self.wheel.peek().map(|(at, _)| Time::from_nanos(at))
     }
 
     /// Pop the earliest entry if it is due at `now`.
     pub fn pop_due(&mut self, now: Time) -> Option<(u8, TimerToken)> {
-        match self.heap.peek() {
-            Some(Reverse((at, _, _, _))) if *at <= now.as_nanos() => self
-                .heap
-                .pop()
-                .map(|Reverse((_, _, mach, token))| (mach, token)),
+        match self.wheel.peek() {
+            Some((at, _)) if at <= now.as_nanos() => self.wheel.pop().map(|(_, v)| v),
             _ => None,
         }
     }
 
     /// Pending entries.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.wheel.len()
     }
 
     /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.wheel.is_empty()
     }
 }
 
@@ -123,7 +113,7 @@ impl SenderSide {
     }
 
     /// The earliest pending wakeup.
-    pub fn next_wake(&self) -> Option<Time> {
+    pub fn next_wake(&mut self) -> Option<Time> {
         self.timers.next_due()
     }
 
@@ -208,7 +198,7 @@ impl ReceiverSide {
     }
 
     /// The earliest pending wakeup.
-    pub fn next_wake(&self) -> Option<Time> {
+    pub fn next_wake(&mut self) -> Option<Time> {
         self.timers.next_due()
     }
 

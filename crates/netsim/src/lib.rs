@@ -17,7 +17,10 @@
 //! * [`SimRng`] — a SplitMix64 PRNG so simulations are reproducible from a
 //!   seed across platforms.
 //! * [`Packet`] — a byte buffer plus bookkeeping metadata.
-//! * [`Node`] — behaviour trait implemented by hosts, switches, DTNs.
+//! * [`Node`] — behaviour trait implemented by hosts, switches, DTNs;
+//!   [`Sink`] is the stock terminal node.
+//! * [`Machine`] — the sans-io contract protocol nodes implement; every
+//!   machine is a [`Node`] (see [`machine`]).
 //! * [`Link`] / [`LinkSpec`] — unidirectional links with an output queue
 //!   ([`QueueSpec`]) feeding a serializing transmitter.
 //! * [`Simulator`] — the event loop binding everything together.
@@ -28,20 +31,12 @@
 //! ```
 //! use mmt_netsim::*;
 //!
-//! // A sender that emits one jumbo frame at start, and a sink.
+//! // A sender that emits one jumbo frame at start, into the stock sink.
 //! struct Sender;
 //! impl Node for Sender {
 //!     fn on_packet(&mut self, _: &mut Context<'_>, _: PortId, _: Packet) {}
 //!     fn on_start(&mut self, ctx: &mut Context<'_>) {
 //!         ctx.send(0, Packet::new(vec![0u8; 9000]));
-//!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
-//! }
-//! struct Sink;
-//! impl Node for Sink {
-//!     fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-//!         ctx.deliver_local(pkt); // hand to the local application
 //!     }
 //!     fn as_any(&self) -> &dyn std::any::Any { self }
 //!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
@@ -67,6 +62,7 @@ pub mod arena;
 mod fault;
 mod link;
 pub mod linkstats;
+pub mod machine;
 mod node;
 mod packet;
 pub mod profile;
@@ -83,7 +79,8 @@ pub use arena::{ArenaStats, PacketArena, PacketRef};
 pub use fault::{FaultSpec, FaultState, FaultVerdict, PeriodicOutage, RandomOutage};
 pub use link::{Link, LinkId, LinkSpec, LossModel, LossState};
 pub use linkstats::LinkStatsBlock;
-pub use node::{Context, Node, NodeId, PortId, TimerToken};
+pub use machine::{Input, Machine, Output};
+pub use node::{Context, Node, NodeId, PortId, Sink, TimerToken};
 pub use packet::{Packet, PacketMeta};
 pub use profile::{SpanProfiler, Stage, StageTotals};
 pub use queue::{QueueSpec, TransmitQueue};

@@ -106,6 +106,24 @@ pub trait Node {
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
+/// The stock terminal node: hands every arrival to its local
+/// application (read back with [`crate::Simulator::local_deliveries`]).
+pub struct Sink;
+
+impl Node for Sink {
+    fn on_packet(&mut self, ctx: &mut Context<'_>, _port: PortId, pkt: Packet) {
+        ctx.deliver_local(pkt);
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,5 +184,14 @@ mod tests {
         probe.on_start(&mut ctx);
         assert!(actions.is_empty());
         assert!(probe.started);
+    }
+
+    #[test]
+    fn sink_records_deliveries() {
+        let mut sim = crate::Simulator::new(1);
+        let s = sim.add_node("s", Box::new(Sink));
+        sim.inject(Time::ZERO, s, 0, Packet::new(vec![1, 2, 3]));
+        sim.run();
+        assert_eq!(sim.local_deliveries(s).len(), 1);
     }
 }

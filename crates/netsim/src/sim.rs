@@ -1,7 +1,6 @@
 //! The simulator event loop.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use mmt_telemetry::SeriesRow;
 
@@ -36,92 +35,6 @@ enum EventKind {
     NodeCrash { node: usize },
     /// A crashed node comes back up.
     NodeRestart { node: usize },
-}
-
-struct Event {
-    at: Time,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// The pluggable event queue. The timing wheel is the default engine;
-/// the binary heap it replaced stays behind
-/// [`Simulator::with_heap_scheduler`] as a differential-testing escape
-/// hatch for one release (see `tests/scheduler_equivalence.rs`), after
-/// which it will be removed.
-///
-/// Both engines implement the same ordering contract — pop strictly by
-/// `(timestamp, push order)` — so every simulation is byte-identical
-/// under either.
-enum EventQueue {
-    /// Hierarchical timing wheel: O(1) schedule, amortized O(1) pop,
-    /// same-slot events batch-drained into one dispatch buffer.
-    Wheel(TimerWheel<EventKind>),
-    /// The legacy `BinaryHeap` engine: O(log n) per operation.
-    Heap {
-        heap: BinaryHeap<Reverse<Event>>,
-        seq: u64,
-    },
-}
-
-impl EventQueue {
-    fn push(&mut self, at: Time, kind: EventKind) {
-        match self {
-            EventQueue::Wheel(wheel) => {
-                wheel.schedule(at.as_nanos(), kind);
-            }
-            EventQueue::Heap { heap, seq } => {
-                let s = *seq;
-                *seq = seq.wrapping_add(1);
-                heap.push(Reverse(Event { at, seq: s, kind }));
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Time, EventKind)> {
-        match self {
-            EventQueue::Wheel(wheel) => wheel.pop().map(|(at, kind)| (Time::from_nanos(at), kind)),
-            EventQueue::Heap { heap, .. } => heap.pop().map(|Reverse(e)| (e.at, e.kind)),
-        }
-    }
-
-    fn peek_at(&mut self) -> Option<Time> {
-        match self {
-            EventQueue::Wheel(wheel) => wheel.peek().map(|(at, _)| Time::from_nanos(at)),
-            EventQueue::Heap { heap, .. } => heap.peek().map(|Reverse(e)| e.at),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            EventQueue::Wheel(wheel) => wheel.is_empty(),
-            EventQueue::Heap { heap, .. } => heap.is_empty(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            EventQueue::Wheel(_) => "wheel",
-            EventQueue::Heap { .. } => "heap",
-        }
-    }
 }
 
 struct NodeEntry {
@@ -173,12 +86,12 @@ struct ProfilerState {
 /// The discrete-event network simulator.
 ///
 /// Deterministic given its seed and the order of construction: nodes and
-/// links are identified by insertion order, event ties are broken by a
-/// global sequence number.
+/// links are identified by insertion order, event ties are broken by
+/// schedule order (the [`TimerWheel`] ordering contract).
 pub struct Simulator {
     now: Time,
     next_packet_id: u64,
-    events: EventQueue,
+    events: TimerWheel<EventKind>,
     nodes: Vec<NodeEntry>,
     links: Vec<Link>,
     rng: SimRng,
@@ -196,7 +109,7 @@ impl Simulator {
         Simulator {
             now: Time::ZERO,
             next_packet_id: 1,
-            events: EventQueue::Wheel(TimerWheel::new()),
+            events: TimerWheel::new(),
             nodes: Vec::new(),
             links: Vec::new(),
             rng: SimRng::new(seed),
@@ -207,33 +120,6 @@ impl Simulator {
             series: None,
             profiler: None,
         }
-    }
-
-    /// Run on the legacy `BinaryHeap` event queue instead of the timing
-    /// wheel. Observationally identical (same pop order, digests, and
-    /// telemetry bytes — pinned by `tests/scheduler_equivalence.rs`),
-    /// just slower; kept for one release as a differential-testing
-    /// escape hatch, then the heap engine will be removed.
-    ///
-    /// # Panics
-    /// Panics if events have already been scheduled.
-    #[must_use]
-    pub fn with_heap_scheduler(mut self) -> Simulator {
-        assert!(
-            self.events.is_empty() && !self.started,
-            "scheduler must be chosen before any event is scheduled"
-        );
-        self.events = EventQueue::Heap {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        };
-        self
-    }
-
-    /// Name of the active event-queue engine (`"wheel"` or `"heap"`),
-    /// recorded in bench artifacts.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.events.name()
     }
 
     /// Enable the periodic time-series sampler: one batch of rows per
@@ -750,7 +636,7 @@ impl Simulator {
     }
 
     fn push_event(&mut self, at: Time, kind: EventKind) {
-        self.events.push(at, kind);
+        self.events.schedule(at.as_nanos(), kind);
     }
 
     fn ensure_started(&mut self) {
@@ -1049,6 +935,7 @@ impl Simulator {
         let Some((at, kind)) = self.events.pop() else {
             return false;
         };
+        let at = Time::from_nanos(at);
         debug_assert!(at >= self.now, "time went backwards");
         self.sample_series_until(at);
         self.now = at;
@@ -1126,7 +1013,8 @@ impl Simulator {
     /// `deadline` are processed) or the queue drains.
     pub fn run_until(&mut self, deadline: Time) {
         self.ensure_started();
-        while let Some(head_at) = self.events.peek_at() {
+        while let Some((head_at, _)) = self.events.peek() {
+            let head_at = Time::from_nanos(head_at);
             if head_at > deadline {
                 self.sample_series_until(deadline);
                 self.now = deadline;
@@ -1141,23 +1029,11 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::link::LossModel;
+    use crate::node::Sink;
     use crate::queue::QueueSpec;
     use crate::time::Bandwidth;
 
     /// Sink that counts arrivals.
-    struct Sink;
-    impl Node for Sink {
-        fn on_packet(&mut self, ctx: &mut Context<'_>, _port: PortId, pkt: Packet) {
-            ctx.deliver_local(pkt);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    }
-
     /// Forwarder that relays everything from port 0 to port 1.
     struct Forward;
     impl Node for Forward {

@@ -1,8 +1,8 @@
 //! Hierarchical timing wheel — the simulator's O(1) event queue.
 //!
-//! The `BinaryHeap` scheduler this replaces pays `O(log n)` per push/pop
-//! and, worse, moves whole `Event` structs (which carry packets) through
-//! every sift step. The wheel stores each event **once** in a slab and
+//! A binary heap would pay `O(log n)` per push/pop and, worse, move
+//! whole events (which carry packets) through every sift step. The
+//! wheel stores each event **once** in a slab and
 //! routes a tiny `(index, generation)` pair through the wheel structure,
 //! so scheduling and cancellation are O(1) and a pop is an amortized
 //! O(1) `Vec::pop`.
@@ -32,9 +32,9 @@
 //!
 //! [`TimerWheel::pop`] yields events in exactly the order a min-heap
 //! over `(time, insertion sequence)` would: ties at one timestamp break
-//! by schedule order (FIFO). The differential suite in
-//! `tests/scheduler_equivalence.rs` and the property tests in
-//! `tests/wheel_properties.rs` pin this equivalence.
+//! by schedule order (FIFO). The property tests in
+//! `tests/wheel_properties.rs` pin this against a sorted-vector model,
+//! and `tests/golden_digests.rs` pins the simulations built on it.
 //!
 //! ## Cancellation
 //!

@@ -5,21 +5,8 @@
 
 use mmt_netsim::{
     Bandwidth, Context, FaultSpec, LinkSpec, LossModel, Node, Packet, PeriodicOutage, PortId,
-    QueueSpec, SimRng, Simulator, Time,
+    QueueSpec, SimRng, Simulator, Sink, Time,
 };
-
-struct Sink;
-impl Node for Sink {
-    fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortId, pkt: Packet) {
-        ctx.deliver_local(pkt);
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
 
 struct Burst {
     sizes: Vec<usize>,

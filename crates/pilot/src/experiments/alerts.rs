@@ -9,10 +9,10 @@
 //! This experiment measures the time until the *last* subscriber holds
 //! the alert, as the subscriber count grows.
 
-use super::util::Sink;
 use mmt_core::sender::{MmtSender, SenderConfig};
 use mmt_dataplane::programs;
 use mmt_dataplane::DataplaneElement;
+use mmt_netsim::Sink;
 use mmt_netsim::{
     Bandwidth, Context, LinkSpec, Node, NodeId, Packet, PortId, Simulator, Time, TimerToken,
 };

@@ -14,9 +14,9 @@
 //!   mapped to a strict-priority band the alert latency stays at
 //!   propagation delay, without it the alerts queue behind the elephant.
 
-use super::util::Sink;
 use mmt_dataplane::classify;
 use mmt_dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
+use mmt_netsim::Sink;
 use mmt_netsim::{Bandwidth, LinkSpec, NodeId, Packet, QueueSpec, Simulator, Time};
 use mmt_wire::mmt::{ExperimentId, MmtRepr};
 use mmt_wire::EthernetAddress;

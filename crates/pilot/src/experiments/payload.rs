@@ -15,10 +15,10 @@
 //!   moment the burst is visible — upstream of the archive, saving the
 //!   remaining WAN legs and the end-host detection delay.
 
-use super::util::Sink;
 use mmt_daq::storage::ContainerWriter;
 use mmt_daq::supernova::BurstDetector;
 use mmt_dataplane::parser::{build_eth_mmt_frame, ParsedPacket};
+use mmt_netsim::Sink;
 use mmt_netsim::{Bandwidth, Context, LinkSpec, Node, Packet, PortId, Simulator, Time, TimerToken};
 use mmt_wire::daq::{DuneSubHeader, SubHeader, TriggerRecord};
 use mmt_wire::mmt::{ExperimentId, MmtRepr};

@@ -9,29 +9,24 @@
 //! [`ShardedSim`] with byte-identical results either way.
 //!
 //! Hot-path discipline: each group owns a [`PacketArena`]; sensors draw
-//! frame buffers from it ([`PacketArena::frame`], which skips the
-//! per-packet memset), encode a real MMT data header in place with the
+//! frame buffers from it ([`PacketArena::frame_virtual`], which leases
+//! only the header bytes), encode a real MMT data header in place with the
 //! zero-copy [`MmtRepr::encode_into`], and the DTN parses it back with
 //! [`MmtRepr::decode_from`] before recycling the buffer — so in steady
 //! state the group neither allocates nor copies per packet, and the
 //! span profiler's encode/decode rows attribute real wire work.
 //!
-//! ## Flow-state layout: struct-of-arrays by default
+//! ## Flow-state layout: struct-of-arrays
 //!
-//! The default execution houses a group's sensors in one [`SensorFleet`]
-//! node whose per-flow state (sequence cursor, remaining-packet counter,
-//! delivery occupancy) lives in a dense [`FlowTable`] — tens of bytes per
-//! flow — and whose frames carry their multi-KB payloads as *virtual
-//! tails* (only the MMT header is resident; see
-//! [`PacketArena::frame_virtual`]). The seed layout — one boxed
-//! [`Sensor`] node per flow with physically allocated payloads — is kept
-//! behind [`ManyFlowConfig::with_aos_sensors`] as the differential
-//! reference: `tests/flowtable_equivalence.rs` holds the two layouts to
-//! byte-identical Prometheus text, flow-keyed trace digests, and series
-//! JSONL. Both paths draw identical RNG sequences (staggers in flow
-//! order from the shared simulator stream, link parameters from the
-//! frozen wiring stream) and push timers in identical insertion order,
-//! which is what makes the equivalence exact rather than statistical.
+//! A group's sensors are one [`SensorFleet`] node whose per-flow state
+//! (sequence cursor, remaining-packet counter, delivery occupancy) lives
+//! in a dense [`FlowTable`] — tens of bytes per flow — and whose frames
+//! carry their multi-KB payloads as *virtual tails* (only the MMT header
+//! is resident; see [`PacketArena::frame_virtual`]). Staggers are drawn
+//! in flow order from the shared simulator stream and link parameters
+//! from the frozen wiring stream, so a group is a pure function of its
+//! seed. `tests/golden_digests.rs` pins the quick fleet's Prometheus
+//! text, flow-keyed trace digest and series JSONL for eight seeds.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -67,19 +62,8 @@ pub struct ManyFlowConfig {
     /// Sample deterministic time-series rows every interval of virtual
     /// time (`None` = sampler off).
     pub series_interval: Option<Time>,
-    /// Retain exact latency samples instead of the fixed-memory sketch
-    /// (honesty comparisons only; memory grows with packet count).
-    pub exact_latency: bool,
     /// Enable the hot-path span profiler.
     pub profile: bool,
-    /// Run every group on the legacy binary-heap event queue instead of
-    /// the timing wheel (differential testing only; see
-    /// [`Simulator::with_heap_scheduler`]).
-    pub heap_scheduler: bool,
-    /// Use the seed array-of-structs layout — one boxed [`Sensor`] node
-    /// per flow, payloads physically allocated — instead of the default
-    /// [`FlowTable`]-backed [`SensorFleet`] (differential testing only).
-    pub aos_sensors: bool,
 }
 
 impl ManyFlowConfig {
@@ -94,10 +78,7 @@ impl ManyFlowConfig {
             seed,
             trace: true,
             series_interval: None,
-            exact_latency: false,
             profile: false,
-            heap_scheduler: false,
-            aos_sensors: false,
         }
     }
 
@@ -113,10 +94,7 @@ impl ManyFlowConfig {
             seed,
             trace: false,
             series_interval: None,
-            exact_latency: false,
             profile: false,
-            heap_scheduler: false,
-            aos_sensors: false,
         }
     }
 
@@ -141,27 +119,6 @@ impl ManyFlowConfig {
         self
     }
 
-    /// With exact latency samples retained (sketch comparison runs).
-    #[must_use]
-    pub fn with_exact_latency(mut self) -> ManyFlowConfig {
-        self.exact_latency = true;
-        self
-    }
-
-    /// With the legacy heap scheduler (differential testing only).
-    #[must_use]
-    pub fn with_heap_scheduler(mut self) -> ManyFlowConfig {
-        self.heap_scheduler = true;
-        self
-    }
-
-    /// With the seed boxed-per-sensor layout (differential testing only).
-    #[must_use]
-    pub fn with_aos_sensors(mut self) -> ManyFlowConfig {
-        self.aos_sensors = true;
-        self
-    }
-
     /// Sensors assigned to group `g` (round-robin remainder).
     pub fn sensors_in_group(&self, group: usize) -> usize {
         let dtns = self.dtns.max(1);
@@ -179,65 +136,12 @@ impl ManyFlowConfig {
 /// Pacing gap between a sensor's packets.
 const SENSOR_GAP: Time = Time::from_micros(100);
 
-/// A detector stream: emits `remaining` MMT frames on a timer. Frame
-/// buffers come from the group's arena without a re-zeroing pass; the
-/// sequence-stamped data header is encoded in place over the front of
-/// the slot buffer, and the payload region rides along untouched.
-struct Sensor {
-    flow: u64,
-    remaining: usize,
-    payload_bytes: usize,
-    next_stamp: u64,
-    /// Header template; per-packet emission adds the sequence number.
-    header: MmtRepr,
-    arena: Rc<RefCell<PacketArena>>,
-}
-
-impl Node for Sensor {
-    fn on_packet(&mut self, _ctx: &mut Context<'_>, _port: PortId, _pkt: Packet) {}
-
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        if self.remaining > 0 {
-            let stagger = Time::from_nanos(ctx.rng().next_bounded(SENSOR_GAP.as_nanos().max(1)));
-            ctx.set_timer(stagger, 0);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
-        if self.remaining == 0 {
-            return;
-        }
-        let repr = self.header.with_sequence(self.next_stamp);
-        let total = repr.header_len() + self.payload_bytes;
-        let mut pkt = self.arena.borrow_mut().frame(total, self.flow);
-        // Infallible: the buffer was sized from header_len one line up.
-        if repr.encode_into(&mut pkt.bytes).is_err() {
-            debug_assert!(false, "frame buffer sized from header_len");
-            return;
-        }
-        pkt.meta.seq = Some(self.next_stamp);
-        self.next_stamp = self.next_stamp.wrapping_add(1);
-        ctx.send(0, pkt);
-        self.remaining -= 1;
-        if self.remaining > 0 {
-            ctx.set_timer(SENSOR_GAP, 0);
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 /// The whole group's sensor population as ONE node: per-flow state lives
 /// in the group's [`FlowTable`] (seq cursor and remaining counter as
 /// dense columns), frames carry virtual payload tails, and timer tokens
-/// address flows. Emission order, RNG draws, link traversal, and every
-/// wire-observable byte match the boxed [`Sensor`] reference exactly —
-/// only the node index on trace records (and the resident cost) differ.
+/// address flows. Frame buffers come from the group's arena; the
+/// sequence-stamped data header is encoded in place over the front of
+/// the buffer.
 struct SensorFleet {
     /// `(group << 32)`; flow `i`'s label is `base_flow | i`.
     base_flow: u64,
@@ -247,7 +151,7 @@ struct SensorFleet {
     arena: Rc<RefCell<PacketArena>>,
     table: Rc<RefCell<FlowTable>>,
     /// Flow handles in sensor order: timer token `i` drives `flows[i]`,
-    /// which sends on port `i` over the same link sensor `i` would own.
+    /// which sends on port `i` over sensor `i`'s own link.
     flows: Vec<FlowId>,
 }
 
@@ -255,9 +159,7 @@ impl Node for SensorFleet {
     fn on_packet(&mut self, _ctx: &mut Context<'_>, _port: PortId, _pkt: Packet) {}
 
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        // Staggers drawn in flow order from the shared simulator stream —
-        // the identical draw sequence the per-sensor nodes produce when
-        // started in node-insertion order.
+        // Staggers drawn in flow order from the shared simulator stream.
         for i in 0..self.flows.len() {
             let id = self.flows[i];
             if self.table.borrow().remaining(id).unwrap_or(0) > 0 {
@@ -327,10 +229,10 @@ struct Dtn {
     decode_errors: u64,
     latency: LatencyHistogram,
     arena: Rc<RefCell<PacketArena>>,
-    /// Present on the flow-table path: per-flow delivery occupancy is
-    /// mirrored into the table's occupancy column, keyed by the low
-    /// 32 bits of the packet's flow label.
-    table: Option<Rc<RefCell<FlowTable>>>,
+    /// Per-flow delivery occupancy is mirrored into the table's
+    /// occupancy column, keyed by the low 32 bits of the packet's flow
+    /// label.
+    table: Rc<RefCell<FlowTable>>,
     flows: Vec<FlowId>,
 }
 
@@ -343,11 +245,9 @@ impl Node for Dtn {
                 self.bytes += pkt.len().saturating_sub(header.header_len()) as u64;
                 self.latency
                     .record(ctx.now().saturating_sub(pkt.meta.created_at));
-                if let Some(table) = &self.table {
-                    let s = (pkt.meta.flow & 0xFFFF_FFFF) as usize;
-                    if let Some(&id) = self.flows.get(s) {
-                        table.borrow_mut().add_occupancy(id, 1);
-                    }
+                let s = (pkt.meta.flow & 0xFFFF_FFFF) as usize;
+                if let Some(&id) = self.flows.get(s) {
+                    self.table.borrow_mut().add_occupancy(id, 1);
                 }
             }
             Err(_) => self.decode_errors += 1,
@@ -364,25 +264,18 @@ impl Node for Dtn {
 }
 
 /// One group's simulator plus the handles `run_group` (and the layout
-/// tests) need after the run.
+/// test) need after the run.
 struct GroupSim {
     sim: Simulator,
     arena: Rc<RefCell<PacketArena>>,
-    /// `Some` on the default flow-table path, `None` on the boxed
-    /// reference path.
-    table: Option<Rc<RefCell<FlowTable>>>,
+    table: Rc<RefCell<FlowTable>>,
     dtn: NodeId,
 }
 
-/// Build one flow group's simulator without running it. Node layout is
-/// the only thing `cfg.aos_sensors` changes: link creation order, wiring
-/// RNG draws, link specs, and port numbering are identical either way.
+/// Build one flow group's simulator without running it.
 fn build_group(cfg: &ManyFlowConfig, group: usize, group_seed: u64) -> GroupSim {
     let sensors = cfg.sensors_in_group(group);
     let mut sim = Simulator::new(group_seed);
-    if cfg.heap_scheduler {
-        sim = sim.with_heap_scheduler();
-    }
     if cfg.trace {
         sim.enable_trace();
     }
@@ -397,83 +290,47 @@ fn build_group(cfg: &ManyFlowConfig, group: usize, group_seed: u64) -> GroupSim 
     // checked so pathological group counts degrade to aliasing, not a
     // panic on the hot construction path.
     let experiment = ExperimentId::new(group as u32 & 0x00FF_FFFF, 0);
-    let table = if cfg.aos_sensors {
-        None
-    } else {
-        let mut t = FlowTable::with_capacity(sensors);
-        let mut flows = Vec::with_capacity(sensors);
-        for _ in 0..sensors {
-            // Cannot exhaust: a group holds well under 2^32 flows.
-            if let Some(id) = t.alloc() {
-                t.set_remaining(id, cfg.packets_per_sensor.min(u32::MAX as usize) as u32);
-                flows.push(id);
-            }
+    let mut t = FlowTable::with_capacity(sensors);
+    let mut flows = Vec::with_capacity(sensors);
+    for _ in 0..sensors {
+        // Cannot exhaust: a group holds well under 2^32 flows.
+        if let Some(id) = t.alloc() {
+            t.set_remaining(id, cfg.packets_per_sensor.min(u32::MAX as usize) as u32);
+            flows.push(id);
         }
-        Some((Rc::new(RefCell::new(t)), flows))
-    };
-    let latency = if cfg.exact_latency {
-        LatencyHistogram::exact()
-    } else {
-        LatencyHistogram::new()
-    };
+    }
+    let table = Rc::new(RefCell::new(t));
     let dtn = sim.add_node(
         "dtn",
         Box::new(Dtn {
             delivered: 0,
             bytes: 0,
             decode_errors: 0,
-            latency,
+            latency: LatencyHistogram::new(),
             arena: Rc::clone(&arena),
-            table: table.as_ref().map(|(t, _)| Rc::clone(t)),
-            flows: table.as_ref().map(|(_, f)| f.clone()).unwrap_or_default(),
+            table: Rc::clone(&table),
+            flows: flows.clone(),
         }),
     );
     // Per-sensor link heterogeneity comes from the group seed, not the
     // simulator's event stream, so wiring is reproducible by inspection.
     let mut wiring = SimRng::new(group_seed).fork_frozen(0x3EA5);
-    let spec_for = |wiring: &mut SimRng| {
+    let fleet = sim.add_node(
+        "sensor",
+        Box::new(SensorFleet {
+            base_flow: (group as u64) << 32,
+            payload_bytes: cfg.payload_bytes,
+            header: MmtRepr::data(experiment),
+            arena: Rc::clone(&arena),
+            table: Rc::clone(&table),
+            flows,
+        }),
+    );
+    for s in 0..sensors {
         let prop = Time::from_micros(50 + wiring.next_bounded(200));
-        LinkSpec::new(Bandwidth::gbps(10), prop).with_mtu(9018)
-    };
-    let table = match table {
-        Some((t, flows)) => {
-            let fleet = sim.add_node(
-                "sensor",
-                Box::new(SensorFleet {
-                    base_flow: (group as u64) << 32,
-                    payload_bytes: cfg.payload_bytes,
-                    header: MmtRepr::data(experiment),
-                    arena: Rc::clone(&arena),
-                    table: Rc::clone(&t),
-                    flows,
-                }),
-            );
-            for s in 0..sensors {
-                let spec = spec_for(&mut wiring);
-                sim.add_oneway(fleet, s, dtn, s, spec);
-            }
-            Some(t)
-        }
-        None => {
-            for s in 0..sensors {
-                let flow = (group as u64) << 32 | s as u64;
-                let node = sim.add_node(
-                    "sensor",
-                    Box::new(Sensor {
-                        flow,
-                        remaining: cfg.packets_per_sensor,
-                        payload_bytes: cfg.payload_bytes,
-                        next_stamp: 0,
-                        header: MmtRepr::data(experiment),
-                        arena: Rc::clone(&arena),
-                    }),
-                );
-                let spec = spec_for(&mut wiring);
-                sim.add_oneway(node, 0, dtn, s, spec);
-            }
-            None
-        }
-    };
+        let spec = LinkSpec::new(Bandwidth::gbps(10), prop).with_mtu(9018);
+        sim.add_oneway(fleet, s, dtn, s, spec);
+    }
     GroupSim {
         sim,
         arena,
@@ -508,13 +365,11 @@ pub fn run_group(cfg: &ManyFlowConfig, group: usize, group_seed: u64) -> GroupRe
         };
     // The occupancy column is the flow table's view of delivery; it must
     // agree with the DTN's own counter flow-for-flow.
-    if let Some(table) = &table {
-        debug_assert_eq!(
-            table.borrow().occupancy_total(),
-            delivered,
-            "flow-table occupancy diverged from DTN delivery count"
-        );
-    }
+    debug_assert_eq!(
+        table.borrow().occupancy_total(),
+        delivered,
+        "flow-table occupancy diverged from DTN delivery count"
+    );
     let group_s = group.to_string();
     // Protocol-layer span attribution the core cannot see: every sensor
     // emission is one encode (instantaneous in virtual time — the model
@@ -585,13 +440,13 @@ pub fn run_group(cfg: &ManyFlowConfig, group: usize, group_seed: u64) -> GroupRe
         stats.packets_fresh,
     );
     // Flow-keyed digest: every wire-observable field, minus the node
-    // index — the one field the SoA/AoS layouts legitimately disagree on
-    // (one fleet node vs. one node per sensor).
+    // index, so the digest names flows rather than how the sensor
+    // population is housed in simulator nodes.
     let trace_digest = if cfg.trace {
         digest_trace_flow(&sim.trace_records())
     } else {
         // Traces off (bench mode): digest the group's observable outcome
-        // instead, so differential runs still compare something real.
+        // instead, so shard-count comparisons still check something real.
         let mut h = Fnv64::new();
         h.write_u64(delivered);
         h.write_u64(bytes);
@@ -737,64 +592,11 @@ mod tests {
     }
 
     #[test]
-    fn soa_path_actually_uses_the_flow_table() {
+    fn group_houses_its_flows_in_the_flow_table() {
         let cfg = ManyFlowConfig::quick(1);
-        let soa = build_group(&cfg, 0, 42);
-        let table = soa.table.expect("default path builds a flow table");
-        assert_eq!(table.borrow().live(), cfg.sensors_in_group(0));
-        assert_eq!(
-            table.borrow().stats().fresh as usize,
-            cfg.sensors_in_group(0)
-        );
-        let aos = build_group(&cfg.clone().with_aos_sensors(), 0, 42);
-        assert!(aos.table.is_none(), "reference path keeps boxed sensors");
-    }
-
-    #[test]
-    fn soa_and_aos_layouts_are_byte_identical() {
-        for seed in [5, 29] {
-            let cfg = ManyFlowConfig::quick(seed).with_series(Time::from_micros(100));
-            let soa = run(&cfg);
-            let aos = run(&cfg.clone().with_aos_sensors());
-            assert_eq!(
-                soa.shard.trace_digest, aos.shard.trace_digest,
-                "flow-keyed trace digests must match (seed {seed})"
-            );
-            assert_eq!(
-                mmt_telemetry::prometheus::render(&soa.shard.registry),
-                mmt_telemetry::prometheus::render(&aos.shard.registry),
-                "Prometheus text must match (seed {seed})"
-            );
-            assert_eq!(
-                mmt_telemetry::series::to_jsonl(&soa.shard.series),
-                mmt_telemetry::series::to_jsonl(&aos.shard.series),
-                "series JSONL must match (seed {seed})"
-            );
-            assert_eq!(soa.shard.events, aos.shard.events);
-            assert_eq!(soa.shard.packets, aos.shard.packets);
-        }
-    }
-
-    #[test]
-    fn exact_latency_mode_matches_sketch_mode_outcomes() {
-        let sketch = run(&ManyFlowConfig::quick(17));
-        let exact = run(&{
-            let mut c = ManyFlowConfig::quick(17);
-            c.exact_latency = true;
-            c
-        });
-        assert_eq!(sketch.shard.packets, exact.shard.packets);
-        // p50/p99 gauges may differ by the sketch bound but delivery
-        // counters must be identical.
-        assert_eq!(
-            sketch
-                .shard
-                .registry
-                .counter("mmt_manyflow_delivered_total", &[("group", "0")]),
-            exact
-                .shard
-                .registry
-                .counter("mmt_manyflow_delivered_total", &[("group", "0")]),
-        );
+        let group = build_group(&cfg, 0, 42);
+        let table = group.table.borrow();
+        assert_eq!(table.live(), cfg.sensors_in_group(0));
+        assert_eq!(table.stats().fresh as usize, cfg.sensors_in_group(0));
     }
 }

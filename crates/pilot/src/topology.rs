@@ -69,17 +69,6 @@ pub struct PilotConfig {
     pub restart_at: Option<Time>,
     /// Simulation seed.
     pub seed: u64,
-    /// Run on the legacy binary-heap event queue instead of the timing
-    /// wheel (differential testing only; see
-    /// [`mmt_netsim::Simulator::with_heap_scheduler`]).
-    pub heap_scheduler: bool,
-    /// House the pilot stream's adaptive state (mode word, deadline,
-    /// occupancy, retransmit-source slot) in a [`FlowTable`] row instead
-    /// of only inside the boxed controller. Behaviour-neutral: the
-    /// controller's word is parked in the table between control
-    /// intervals and thawed before each observation, so every decision
-    /// is byte-identical either way. Off only for differential testing.
-    pub flow_table: bool,
 }
 
 impl PilotConfig {
@@ -109,8 +98,6 @@ impl PilotConfig {
             crash_at: Time::ZERO,
             restart_at: None,
             seed: 7,
-            heap_scheduler: false,
-            flow_table: true,
         }
     }
 }
@@ -157,15 +144,14 @@ pub struct Pilot {
     /// DTN 1's WAN-facing egress link (dtn1 → tofino) — where drops land
     /// when the sensor overcommits the WAN (experiment E7).
     pub dtn1_egress: LinkId,
-    /// Dense per-flow state for the pilot stream (`None` when
-    /// `PilotConfig::flow_table` is off): the mode word is parked here
-    /// between control intervals, the deadline column holds the mode-2
-    /// budget, occupancy mirrors the retransmit buffer, and the
-    /// retransmit-source slot records which buffer (0 = primary DTN 1,
-    /// 1 = standby) currently serves NAKs.
-    pub flow_table: Option<FlowTable>,
+    /// Dense per-flow state for the pilot stream: the mode word is
+    /// parked here between control intervals, the deadline column holds
+    /// the mode-2 budget, occupancy mirrors the retransmit buffer, and
+    /// the retransmit-source slot records which buffer (0 = primary
+    /// DTN 1, 1 = standby) currently serves NAKs.
+    pub flow_table: FlowTable,
     /// The pilot stream's row in [`Pilot::flow_table`].
-    pub stream_flow: Option<FlowId>,
+    pub stream_flow: FlowId,
     config: PilotConfig,
 }
 
@@ -182,9 +168,6 @@ impl Pilot {
     /// Build the Fig. 4 chain.
     pub fn build(config: PilotConfig) -> Pilot {
         let mut sim = Simulator::new(config.seed);
-        if config.heap_scheduler {
-            sim = sim.with_heap_scheduler();
-        }
 
         // --- nodes ---
         let mut sender_cfg = SenderConfig::regular(
@@ -328,19 +311,11 @@ impl Pilot {
         }
 
         // --- flow-state row ---
-        let (flow_table, stream_flow) = if config.flow_table {
-            let mut table = FlowTable::with_capacity(1);
-            let id = table.alloc();
-            if let Some(id) = id {
-                table.set_deadline_ns(id, config.deadline_budget.as_nanos());
-                // Slot 0 = the primary retransmit buffer (DTN 1); a
-                // re-home flips this to 1 (the standby).
-                table.set_retx_slot(id, 0);
-            }
-            (Some(table), id)
-        } else {
-            (None, None)
-        };
+        let (mut flow_table, stream_flow) = FlowTable::single();
+        flow_table.set_deadline_ns(stream_flow, config.deadline_budget.as_nanos());
+        // Slot 0 = the primary retransmit buffer (DTN 1); a re-home flips
+        // this to 1 (the standby).
+        flow_table.set_retx_slot(stream_flow, 0);
 
         Pilot {
             sim,
@@ -386,9 +361,8 @@ impl Pilot {
         let mut applied = 0u64;
         // Seed the flow row from the incoming controller so the first
         // thaw below hands back exactly the state the caller passed in.
-        if let (Some(table), Some(id)) = (&mut self.flow_table, self.stream_flow) {
-            table.set_mode_word(id, controller.word());
-        }
+        let id = self.stream_flow;
+        self.flow_table.set_mode_word(id, controller.word());
         while self.sim.now() < horizon {
             let t = (self.sim.now() + interval).min(horizon);
             self.sim.run_until(t);
@@ -414,24 +388,20 @@ impl Pilot {
             // Thaw the parked mode word, decide, park it again — the
             // storage round-trip a flow-table-resident fleet performs per
             // control interval. The word written back is the word read
-            // plus this observation, so decisions are byte-identical to
-            // the controller-resident path.
-            if let (Some(table), Some(id)) = (&mut self.flow_table, self.stream_flow) {
-                if let Some(word) = table.mode_word(id) {
-                    controller.load_word(word);
-                }
+            // plus this observation.
+            if let Some(word) = self.flow_table.mode_word(id) {
+                controller.load_word(word);
             }
             let transitions = controller.observe(&sample);
-            if let (Some(table), Some(id)) = (&mut self.flow_table, self.stream_flow) {
-                table.set_mode_word(id, controller.word());
-                table.set_occupancy(id, occupancy.min(u64::from(u32::MAX)) as u32);
-                if transitions
-                    .iter()
-                    .any(|t| matches!(t, ModeTransition::ReHome { .. }))
-                {
-                    // The stream's NAK service moved to the standby.
-                    table.set_retx_slot(id, 1);
-                }
+            let table = &mut self.flow_table;
+            table.set_mode_word(id, controller.word());
+            table.set_occupancy(id, occupancy.min(u64::from(u32::MAX)) as u32);
+            if transitions
+                .iter()
+                .any(|t| matches!(t, ModeTransition::ReHome { .. }))
+            {
+                // The stream's NAK service moved to the standby.
+                table.set_retx_slot(id, 1);
             }
             // Each closed-loop observation is one mode-control decision;
             // the control channel is out-of-band, so its virtual-time
@@ -831,41 +801,19 @@ mod tests {
     }
 
     #[test]
-    fn flow_table_row_is_behavior_neutral_and_mirrors_the_controller() {
+    fn flow_table_row_mirrors_the_controller() {
         use mmt_core::controller::ControllerConfig;
         let mut cfg = PilotConfig::default_run();
         cfg.message_count = 300;
         cfg.wan_loss = LossModel::Random(0.05); // push the loss EWMA around
-        let run = |cfg: PilotConfig| {
-            let mut pilot = Pilot::build(cfg);
-            let mut controller = ModeController::new(ControllerConfig::default());
-            let applied =
-                pilot.run_adaptive(Time::from_secs(5), Time::from_millis(5), &mut controller);
-            (pilot, controller, applied)
-        };
-        let (with, c_with, applied_with) = run(cfg.clone());
-        let (without, c_without, applied_without) = run({
-            let mut c = cfg.clone();
-            c.flow_table = false;
-            c
-        });
-        // Behaviour-neutral: same decisions, same simulation, same
-        // telemetry, byte for byte.
-        assert_eq!(applied_with, applied_without);
-        assert_eq!(c_with.word(), c_without.word());
-        assert_eq!(*c_with.stats(), *c_without.stats());
-        assert_eq!(with.sim.events_processed(), without.sim.events_processed());
-        assert_eq!(
-            mmt_telemetry::prometheus::render(&with.metrics()),
-            mmt_telemetry::prometheus::render(&without.metrics())
-        );
+        let mut pilot = Pilot::build(cfg.clone());
+        let mut controller = ModeController::new(ControllerConfig::default());
+        pilot.run_adaptive(Time::from_secs(5), Time::from_millis(5), &mut controller);
         // The table row mirrors the controller and the stream config.
-        let table = with.flow_table.as_ref().expect("flow table on by default");
-        let id = with.stream_flow.expect("stream row allocated");
-        assert_eq!(table.mode_word(id), Some(c_with.word()));
+        let (table, id) = (&pilot.flow_table, pilot.stream_flow);
+        assert_eq!(table.mode_word(id), Some(controller.word()));
         assert_eq!(table.deadline_ns(id), Some(cfg.deadline_budget.as_nanos()));
         assert_eq!(table.retx_slot(id), Some(0), "no re-home: still primary");
-        assert!(without.flow_table.is_none());
     }
 
     #[test]

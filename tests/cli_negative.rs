@@ -3,6 +3,7 @@
 //! a silently-ignored value. A process-level panic would show up as an
 //! abort signal / exit 101, which every assertion here would catch.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 fn mmt_sim(args: &[&str]) -> Output {
@@ -439,8 +440,83 @@ fn io_pilot_lossy_loopback_runs_clean() {
 
 #[test]
 fn bench_unknown_scheduler_rejected() {
+    // The heap engine is gone; its flag is now just an unknown flag, and
+    // must not fall through to a full sweep.
     assert_clean_usage_error(
-        &["bench", "--scheduler", "fifo"],
-        "--scheduler must be heap or wheel",
+        &["bench", "--scheduler", "heap"],
+        "unknown flag --scheduler for bench",
     );
+}
+
+#[test]
+fn pilot_unknown_flag_rejected() {
+    assert_clean_usage_error(&["pilot", "--bogus", "1"], "unknown flag --bogus for pilot");
+}
+
+#[test]
+fn io_pilot_unknown_flag_rejected() {
+    assert_clean_usage_error(
+        &["io-pilot", "--bogus", "1"],
+        "unknown flag --bogus for io-pilot",
+    );
+}
+
+#[test]
+fn flag_of_another_command_rejected() {
+    // `--scheduler`-style drift: a flag valid elsewhere is still unknown.
+    assert_clean_usage_error(
+        &["fct", "--crash-at", "5"],
+        "unknown flag --crash-at for fct",
+    );
+}
+
+/// The `tables` binary (package `mmt-bench`), brought up to date with
+/// the profile these tests were built with and run from beside
+/// `mmt-sim`. Another package's binary has no `CARGO_BIN_EXE_*`.
+fn tables(args: &[&str]) -> Output {
+    let mmt_sim = Path::new(env!("CARGO_BIN_EXE_mmt-sim"));
+    let mut build = Command::new(env!("CARGO"));
+    build.args(["build", "--quiet", "-p", "mmt-bench", "--bin", "tables"]);
+    if mmt_sim.parent().and_then(Path::file_name) == Some("release".as_ref()) {
+        build.arg("--release");
+    }
+    let status = build.status().expect("spawn cargo build");
+    assert!(status.success(), "building tables failed: {status}");
+    let exe = mmt_sim.with_file_name(format!("tables{}", std::env::consts::EXE_SUFFIX));
+    Command::new(exe).args(args).output().expect("spawn tables")
+}
+
+/// Exit code 2 from `tables`, no panic, and the given needle on stderr.
+fn assert_tables_usage_error(args: &[&str], needle: &str) {
+    let out = tables(args);
+    let stderr = stderr_of(&out);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "tables {args:?}: expected exit 2, got {:?}\nstderr: {stderr}",
+        out.status
+    );
+    assert!(
+        stderr.contains(needle),
+        "tables {args:?}: stderr missing {needle:?}\nstderr: {stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "tables {args:?}: ran before rejecting its arguments"
+    );
+}
+
+#[test]
+fn tables_unknown_flag_rejected() {
+    assert_tables_usage_error(&["--out", "x"], "unknown flag --out");
+}
+
+#[test]
+fn tables_unknown_id_rejected() {
+    assert_tables_usage_error(&["e1", "e99"], "unknown table id e99");
+}
+
+#[test]
+fn tables_json_without_directory_rejected() {
+    assert_tables_usage_error(&["--json"], "--json requires a directory");
 }
