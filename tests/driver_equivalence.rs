@@ -8,7 +8,10 @@
 //! over the core-level delivery log — `(msg_index, seq)` pairs in arrival
 //! order — not over any time-stamped telemetry.
 
-use mmt::io::{run_loopback, IoPilotConfig};
+use std::sync::mpsc;
+use std::time::Duration;
+
+use mmt::io::{run_connect, run_listen, run_loopback, IoError, IoPilotConfig, IoPilotReport};
 use mmt::netsim::{Bandwidth, LinkSpec, Simulator, Time};
 use mmt::protocol::buffer::{PORT_DAQ, PORT_WAN};
 use mmt::protocol::{MmtReceiver, MmtSender, ReceiverConfig, RetransmitBuffer, SenderConfig};
@@ -19,6 +22,10 @@ const MESSAGES: u64 = 120;
 const LEN: usize = 512;
 const GAP: Time = Time::from_micros(20);
 const SEED: u64 = 11;
+
+/// Wall-clock ceiling for the two-process pair, well above the in-run
+/// 2 s deadline so the watchdog (not the harness) bounds a bad run.
+const HARNESS_TIMEOUT: Duration = Duration::from_secs(20);
 
 struct SimOutcome {
     delivered: u64,
@@ -134,4 +141,71 @@ fn io_driver_runs_are_reproducible_at_the_delivery_level() {
     let b = run_loopback(&io_config()).expect("second run");
     assert_eq!(a.delivery_digest, b.delivery_digest);
     assert_eq!(a.delivered, b.delivered);
+}
+
+type Half = mpsc::Receiver<Result<IoPilotReport, IoError>>;
+
+/// Start `run_listen` on a loopback port that was free a moment ago: bind
+/// `:0`, read the port the kernel picked, release the socket. Another
+/// socket may take the port in between, so a listener that fails to bind
+/// within 50 ms is started again on a fresh port.
+fn spawn_listener() -> (String, Half) {
+    for _ in 0..5 {
+        let port = std::net::UdpSocket::bind(("127.0.0.1", 0))
+            .and_then(|s| s.local_addr())
+            .expect("probe a free port")
+            .port();
+        let addr = format!("127.0.0.1:{port}");
+        let (tx, rx) = mpsc::channel();
+        let listen_addr = addr.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(run_listen(&io_config(), &listen_addr));
+        });
+        match rx.recv_timeout(Duration::from_millis(50)) {
+            // Still running: bound, and waiting for its peer.
+            Err(mpsc::RecvTimeoutError::Timeout) => return (addr, rx),
+            Ok(Err(IoError::Socket(e))) if e.kind() == std::io::ErrorKind::AddrInUse => {}
+            other => panic!("listener ended before its peer started: {other:?}"),
+        }
+    }
+    panic!("no free loopback port in 5 tries");
+}
+
+/// Await one half of the pair, failing the test if it outlives the
+/// harness timeout instead of wedging the suite.
+fn await_half(label: &str, rx: &Half) -> IoPilotReport {
+    match rx.recv_timeout(HARNESS_TIMEOUT) {
+        Ok(result) => result.unwrap_or_else(|e| panic!("{label}: {e}")),
+        Err(_) => panic!("{label} hung past the {HARNESS_TIMEOUT:?} harness timeout"),
+    }
+}
+
+#[test]
+fn listen_and_connect_pair_matches_the_sim_delivery_digest() {
+    // The two-process deployment shape in one test process: the receiver
+    // listens on its own thread and learns its peer from the first
+    // datagram; the sender connects to it over 127.0.0.1.
+    let (addr, listen_rx) = spawn_listener();
+    let (connect_tx, connect_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = connect_tx.send(run_connect(&io_config(), &addr));
+    });
+
+    let listener = await_half("listen", &listen_rx);
+    let connector = await_half("connect", &connect_rx);
+    assert!(
+        listener.completed && listener.exactly_once(),
+        "listener must deliver exactly once: {listener:?}"
+    );
+    assert_eq!(listener.delivered, MESSAGES);
+    assert_eq!(
+        listener.delivery_digest,
+        run_sim().digest,
+        "the listen side disagreed with the sim on the delivered sequence"
+    );
+    assert!(
+        connector.completed,
+        "connect side must drain: {connector:?}"
+    );
+    assert_eq!(connector.sent, MESSAGES);
 }
