@@ -54,11 +54,6 @@ impl TimerQueue {
         }
     }
 
-    /// Pending entries.
-    pub fn len(&self) -> usize {
-        self.wheel.len()
-    }
-
     /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.wheel.is_empty()

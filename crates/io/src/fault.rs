@@ -31,11 +31,6 @@ impl FaultPlan {
             delay: Time::ZERO,
         }
     }
-
-    /// Whether the plan can alter traffic at all.
-    pub fn is_clean(&self) -> bool {
-        self.drop <= 0.0 && self.dup <= 0.0 && self.delay == Time::ZERO
-    }
 }
 
 /// Counters for injected faults.

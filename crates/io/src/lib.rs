@@ -14,7 +14,7 @@
 //! | [`socket`]   | nonblocking `std::net::UdpSocket` wrapper that routes every send through the fault injector |
 //! | [`watchdog`] | per-flow deadline ladder: shed → degrade → abort |
 //! | [`driver`]   | endpoint assemblies (sender+buffer, receiver) that route machine outputs between in-memory ports, timers, and the wire |
-//! | [`pilot`]    | the `io-pilot` scenario: loopback (single process) and listen/connect (two process) runners |
+//! | [`pilot`]    | the `io-pilot` scenario: one poll loop over whichever ends a process hosts — both (loopback), receiver (listen) or sender (connect) |
 //!
 //! This is deliberately the *only* crate in the workspace where clock
 //! reads, socket calls, and sleeps are permitted — `mmt-lint` rule D2

@@ -95,11 +95,6 @@ impl RtoEstimator {
         self.retries_spent < self.retry_budget
     }
 
-    /// Retries spent so far (monotonic; never reset by samples).
-    pub fn retries_spent(&self) -> u32 {
-        self.retries_spent
-    }
-
     /// Whether the retry budget is exhausted.
     pub fn budget_exhausted(&self) -> bool {
         self.retries_spent >= self.retry_budget

@@ -56,16 +56,6 @@ impl FaultySocket {
         })
     }
 
-    /// The local address the kernel assigned.
-    pub fn local_addr(&self) -> Result<SocketAddr, IoError> {
-        Ok(self.sock.local_addr()?)
-    }
-
-    /// The current peer, if known.
-    pub fn peer(&self) -> Option<SocketAddr> {
-        self.peer
-    }
-
     /// Queue a datagram for the peer, subject to the fault plan. Copies
     /// that survive (and are not delayed) go to the kernel immediately.
     pub fn send(&mut self, now: Time, datagram: &[u8]) -> Result<(), IoError> {

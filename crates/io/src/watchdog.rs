@@ -62,11 +62,6 @@ impl Watchdog {
         }
     }
 
-    /// The configured deadline.
-    pub fn deadline(&self) -> Time {
-        self.deadline
-    }
-
     /// The current stage.
     pub fn stage(&self) -> WatchdogStage {
         self.stage

@@ -916,15 +916,11 @@ fn cmd_io_pilot(flags: HashMap<String, String>) {
             }
         }
     }
-    // The connect side cannot observe delivery; its success is having
-    // drained the schedule and served every NAK until the line went
-    // quiet. Everything else demands exactly-once delivery.
-    let ok = if connect.is_some() {
-        report.completed
-    } else {
-        report.completed && report.exactly_once()
-    };
-    if ok {
+    // The connect side cannot observe delivery, so it reports what it
+    // did check. Everything else demands exactly-once delivery.
+    if connect.is_some() && report.completed {
+        println!("io-pilot: complete (schedule drained, NAKs served until the wire went quiet)");
+    } else if report.completed && report.exactly_once() {
         println!("io-pilot: complete (exactly-once)");
     } else {
         println!("io-pilot: degraded — losses accounted, exiting nonzero");
